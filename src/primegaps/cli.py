@@ -187,17 +187,7 @@ def _cmd_gaps(args) -> int:
     if args.hi <= args.lo:
         raise UsageError("--hi must exceed --lo")
     anchored = args.lo <= 2
-    if fmt == "json":
-        gaps = []
-        n = 0
-        for p_arr, g_arr in iter_gap_arrays(
-            args.lo, args.hi, threads=threads, segment_size=segment_size
-        ):
-            for p, g in zip(p_arr.tolist(), g_arr.tolist()):
-                n += 1
-                gaps.append({"p": p, "g": g, "index": n if anchored else None})
-        _out(json.dumps({"lo": args.lo, "hi": args.hi, "gaps": gaps}, indent=2) + "\n")
-        return EXIT_OK
+    gaps = []
     if fmt == "csv":
         _out("p,g,index\n")
     n = 0
@@ -207,10 +197,14 @@ def _cmd_gaps(args) -> int:
         for p, g in zip(p_arr.tolist(), g_arr.tolist()):
             n += 1
             idx = str(n) if anchored else ""
-            if fmt == "csv":
+            if fmt == "json":
+                gaps.append({"p": p, "g": g, "index": n if anchored else None})
+            elif fmt == "csv":
                 _out(f"{p},{g},{idx}\n")
             else:
                 _out(f"{p} {g}" + (f" {idx}" if idx else "") + "\n")
+    if fmt == "json":
+        _out(json.dumps({"lo": args.lo, "hi": args.hi, "gaps": gaps}, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -218,45 +212,31 @@ def _cmd_records(args) -> int:
     fmt = _resolve_format(args.format)
     threads = _resolve_int(args.threads, "PGV_THREADS", None)
     segment_size = _resolve_int(args.segment_size, "PGV_SEGMENT_SIZE", None) or DEFAULT_SEGMENT_SIZE
-
-    if args.checkpoint:
-        ckpt_path = Path(args.checkpoint)
-        if ckpt_path.exists():
-            state = ckpt.load_checkpoint(
-                ckpt_path, limit=args.limit, segment_size=segment_size
-            )
-        else:
-            state = new_scan_state(args.limit, segment_size=segment_size)
-
-        interrupted = {"flag": False}
-
-        def _on_sigint(signum, frame):
-            interrupted["flag"] = True
-
-        previous = signal.signal(signal.SIGINT, _on_sigint)
-        try:
-            advance_scan(
-                state,
-                threads=threads,
-                max_segments=args.stop_after_segments,
-                should_stop=lambda: interrupted["flag"],
-                on_segment=lambda st: ckpt.save_checkpoint(ckpt_path, st),
-            )
-        finally:
-            signal.signal(signal.SIGINT, previous)
-        if not state.done:
-            print(
-                f"scan stopped at {state.next_lo} of {state.limit}; "
-                f"checkpoint saved to {ckpt_path}",
-                file=sys.stderr,
-            )
-            return 130 if interrupted["flag"] else EXIT_OK
-        table = state.as_table()
+    if args.stop_after_segments is not None and not args.checkpoint:
+        raise UsageError("--stop-after-segments requires --checkpoint")
+    ckpt_path = Path(args.checkpoint) if args.checkpoint else None
+    if ckpt_path is not None and ckpt_path.exists():
+        state = ckpt.load_checkpoint(ckpt_path, limit=args.limit, segment_size=segment_size)
     else:
-        if args.stop_after_segments is not None:
-            raise UsageError("--stop-after-segments requires --checkpoint")
-        table = scan_records(args.limit, threads=threads, segment_size=segment_size)
-    _out(_render_table(table, fmt))
+        state = new_scan_state(args.limit, segment_size=segment_size)
+    # Ctrl-C only raises a flag; the scan stops at the next segment boundary.
+    interrupted: list[int] = []
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: interrupted.append(signum))
+    try:
+        advance_scan(
+            state,
+            threads=threads,
+            max_segments=args.stop_after_segments,
+            should_stop=lambda: bool(interrupted),
+            on_segment=None if ckpt_path is None else (lambda st: ckpt.save_checkpoint(ckpt_path, st)),
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    if not state.done:
+        saved = f"; checkpoint saved to {ckpt_path}" if ckpt_path else ""
+        print(f"scan stopped at {state.next_lo} of {state.limit}{saved}", file=sys.stderr)
+        return 130 if interrupted else EXIT_OK
+    _out(_render_table(state.as_table(), fmt))
     return EXIT_OK
 
 

@@ -27,13 +27,15 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .gap_records import RecordTable
 from .numerics import isqrt
-from .sieve import count_primes_in, iter_gap_arrays, RangeTooLargeError
+# iter_gap_arrays stays importable here for callers that patch it.
+from .sieve import RangeTooLargeError, count_primes_in, iter_gap_arrays, stitch_segments  # noqa: F401
 
 #: The finite exception set named by the strong Andrica conjecture: the only
 #: primes whose gap reaches sqrt(p) + 1/4. The square-root conjecture names
@@ -180,6 +182,12 @@ def violation_mask(
     raise ValueError(f"{kind.value} is not a per-gap conjecture")
 
 
+def _violators(kind: ConjectureKind, c: int, primes: np.ndarray) -> list[int]:
+    """Lower primes of one segment's inner gaps failing ``kind`` (worker side)."""
+    p = primes[:-1]
+    return p[violation_mask(kind, p, np.diff(primes), c=c)].tolist()
+
+
 def compute_exceptions(
     kind: ConjectureKind,
     limit: int,
@@ -188,16 +196,22 @@ def compute_exceptions(
     threads: int | None = 1,
     segment_size: int | None = None,
 ) -> tuple[int, ...]:
-    """Exactly the lower primes p < limit whose gap violates the predicate."""
+    """Exactly the lower primes p < limit whose gap violates the predicate.
+
+    Workers test the gaps inside segments, the scalar predicate the rest.
+    """
     if kind not in GAP_KINDS:
         raise ValueError(f"{kind.value} has no per-gap exception set")
     if limit < 3:
         raise ValueError("compute_exceptions needs limit >= 3")
+    holds = gap_predicate(kind, c=c)
     found: list[int] = []
-    for p_arr, g_arr in iter_gap_arrays(2, limit, threads=threads, segment_size=segment_size):
-        bad = violation_mask(kind, p_arr, g_arr, c=c)
-        if bad.any():
-            found.extend(int(v) for v in p_arr[bad])
+    for gap, seg, _ in stitch_segments(2, limit, partial(_violators, kind, c),
+                                       threads=threads, segment_size=segment_size):
+        if gap is not None and not holds(gap):
+            found.append(gap[0])
+        if seg is not None:
+            found.extend(seg.payload)
     return tuple(found)
 
 

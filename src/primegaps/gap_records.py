@@ -5,16 +5,17 @@ primes; records are written as triples ``(i, g_star, p_star)`` where the
 i-th record gap has width ``g_star`` and starts at the prime ``p_star``.
 
 Two sources of record tables exist side by side: :func:`scan_records`
-derives them exhaustively from the sieve, and :func:`load_known_table`
-ingests the published record list shipped with this package (exhaustive
-below 2**64), re-validating what can be checked at desk scale: endpoint
-primality, strict monotonicity, and index contiguity. :func:`cross_check`
-compares the two on their overlap.
+derives them exhaustively on the sieve's segment engine, where each worker
+returns only its segment's strict prefix-maximum gaps, and
+:func:`load_known_table` ingests the published record list shipped with
+this package (exhaustive below 2**64), re-validating what can be checked at
+desk scale: endpoint primality, strict monotonicity, and index contiguity.
+:func:`cross_check` compares the two on their overlap.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -23,15 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .numerics import is_prime_64, next_prime
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
-    _cached_base_odd,
-    _ordered_map,
-    _primes_task,
-    _segment_primes,
-    resolve_threads,
-    segment_ranges,
-)
+from .sieve import DEFAULT_SEGMENT_SIZE, stitch_segments
 
 KNOWN_TABLE_RESOURCE = "maximal_gaps_80.csv"
 
@@ -136,13 +129,9 @@ def verify_gap_interiors(table: RecordTable) -> None:
     paranoid callers opt in.
     """
     for rec in table.records:
-        for q in range(rec.p_star + 1, rec.p_star + rec.g_star):
-            if q % 2 == 0 and q != 2:
-                continue
-            if is_prime_64(q):
-                raise TableValidationError(
-                    f"record {rec.i}: interior point {q} is prime"
-                )
+        q = next_prime(rec.p_star)
+        if q < rec.p_star + rec.g_star:
+            raise TableValidationError(f"record {rec.i}: interior point {q} is prime")
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +229,8 @@ def cross_check(scanned: RecordTable, known: RecordTable) -> CrossCheckReport:
 # ---------------------------------------------------------------------------
 # Exhaustive scan. The scan keeps explicit, serializable state so a long run
 # can checkpoint at segment boundaries and resume to a byte-identical result.
+# A record is wider than every earlier gap, those of its own segment
+# included, so the workers' candidates hold every record inside a segment.
 
 
 @dataclass
@@ -274,36 +265,12 @@ def new_scan_state(limit: int, *, segment_size: int | None = None) -> RecordScan
     )
 
 
-def _absorb_segment(state: RecordScanState, primes: np.ndarray) -> None:
-    if not len(primes):
-        return
-    if state.carry_prime is not None:
-        primes = np.concatenate([np.array([state.carry_prime], dtype=np.uint64), primes])
-    if len(primes) >= 2:
-        gaps = np.diff(primes)
-        acc = np.maximum.accumulate(gaps)
-        prior = np.empty_like(acc)
-        prior[0] = state.best_gap
-        np.maximum(acc[:-1], np.uint64(state.best_gap), out=prior[1:])
-        for k in np.flatnonzero(gaps > prior):
-            state.records.append(
-                MaximalGapRecord(len(state.records) + 1, int(gaps[k]), int(primes[k]))
-            )
-        state.best_gap = max(state.best_gap, int(acc[-1]))
-    state.carry_prime = int(primes[-1])
-
-
-def _finalize_scan(state: RecordScanState) -> None:
-    # The last prime below the limit still owes its gap; close it with the
-    # first prime at or beyond the limit.
-    if state.carry_prime is not None:
-        g = next_prime(state.carry_prime) - state.carry_prime
-        if g > state.best_gap:
-            state.records.append(
-                MaximalGapRecord(len(state.records) + 1, g, state.carry_prime)
-            )
-            state.best_gap = g
-    state.done = True
+def _record_candidates(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The segment's strict prefix-maximum gaps as ``(p, g)`` arrays (worker side)."""
+    gaps = np.diff(primes)
+    keep = np.ones(len(gaps), dtype=bool)
+    np.greater(gaps[1:], np.maximum.accumulate(gaps)[:-1], out=keep[1:])
+    return primes[:-1][keep], gaps[keep]
 
 
 def advance_scan(
@@ -319,37 +286,30 @@ def advance_scan(
     Stops early after ``max_segments`` segments or when ``should_stop()``
     turns true (both checked at segment boundaries, the only points where
     the state is consistent). ``on_segment`` runs after each absorbed
-    segment; checkpointing hooks in there.
+    segment and once more when the scan completes; checkpointing hooks in
+    there.
     """
     if state.done:
         return state
-    nthreads = resolve_threads(threads)
-    sqrt_limit = math.isqrt(state.limit - 1) + 1
-    ranges = segment_ranges(state.next_lo, state.limit, state.segment_size)
-    tasks = ((s, e, sqrt_limit) for s, e in ranges)
-    processed = 0
-    if nthreads <= 1:
-        base_odd = _cached_base_odd(sqrt_limit)
-        results = ((e, _segment_primes(s, e, base_odd)) for s, e, _ in tasks)
-    else:
-        ends_and_tasks = [(t[1], t) for t in tasks]
-        results = zip(
-            (e for e, _ in ends_and_tasks),
-            _ordered_map(_primes_task, (t for _, t in ends_and_tasks), nthreads),
-        )
-    for seg_end, primes in results:
-        _absorb_segment(state, primes)
-        state.next_lo = seg_end
-        processed += 1
-        if on_segment is not None:
-            on_segment(state)
-        if max_segments is not None and processed >= max_segments:
-            return state
-        if should_stop is not None and should_stop():
-            return state
-    _finalize_scan(state)
-    if on_segment is not None:
-        on_segment(state)
+    steps = stitch_segments(state.next_lo, state.limit, _record_candidates,
+                            carry=state.carry_prime, segment_size=state.segment_size,
+                            threads=threads)
+    with closing(steps):
+        for processed, (gap, seg, carry) in enumerate(steps, start=1):
+            candidates = [] if gap is None else [gap]
+            if seg is not None:
+                candidates += zip(*(a.tolist() for a in seg.payload))
+                state.next_lo = seg.hi
+            for p, g in candidates:
+                if g > state.best_gap:
+                    state.records.append(MaximalGapRecord(len(state.records) + 1, g, p))
+                    state.best_gap = g
+            state.carry_prime, state.done = carry, seg is None
+            if on_segment is not None:
+                on_segment(state)
+            stop = should_stop is not None and should_stop()
+            if state.done or stop or (max_segments is not None and processed >= max_segments):
+                break
     return state
 
 
@@ -365,6 +325,5 @@ def scan_records(
     record, so the table always starts (1, 1, 2); a gap merely equal to the
     current maximum is not a new record.
     """
-    state = new_scan_state(limit, segment_size=segment_size)
-    advance_scan(state, threads=threads)
+    state = advance_scan(new_scan_state(limit, segment_size=segment_size), threads=threads)
     return state.as_table()

@@ -2,11 +2,15 @@
 
 The sieve works on fixed-size segments (default 2**22 numbers, small enough
 for the bitmap to stay cache resident) and represents only odd numbers in
-its internal bitmap; 2 is handled specially. Segments are independent, so
-they can be sieved by a pool of worker processes; results are always merged
-in ascending range order by the consuming (single-threaded) reducer, which
-makes every output deterministic and independent of worker count and
-segment size.
+its internal bitmap; 2 is handled specially.
+
+Every scan runs on one ordered map/fold engine. In :func:`map_segments` each
+worker sieves a segment and returns a small :class:`Segment`: first and last
+prime, prime count, and what the caller's extract function makes of the
+primes (record candidates, violators, bin counts, or the primes themselves).
+The parent folds these in range order, and :func:`stitch_segments` is the one
+place where gaps are stitched across segments, so no output depends on the
+worker count or segment size.
 
 Heavy consumers iterate numpy arrays (:func:`iter_prime_arrays`,
 :func:`iter_gap_arrays`); the list-of-objects APIs (:func:`primes_in`,
@@ -16,14 +20,18 @@ Heavy consumers iterate numpy arrays (:func:`iter_prime_arrays`,
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import signal
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from contextlib import closing
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .numerics import next_prime
+from .numerics import U64_BOUND, next_prime
 
 #: Numbers per segment. 2**22 keeps the odd-only bitmap (2 MiB of bools)
 #: cache resident while amortizing the per-segment base-prime walk.
@@ -32,8 +40,6 @@ DEFAULT_SEGMENT_SIZE = 1 << 22
 #: primes_in / gaps_in refuse to materialize windows wider than this;
 #: use the streaming iterators for larger scans.
 DEFAULT_MAX_SPAN = 1 << 28
-
-U64_BOUND = 1 << 64
 
 
 class RangeTooLargeError(ValueError):
@@ -63,6 +69,21 @@ class PrimeGap(NamedTuple):
     index: int | None = None
 
 
+class Segment(NamedTuple):
+    """A worker's summary of the sieved segment ``[lo, hi)``.
+
+    ``payload`` is the scan's extract function applied to the segment's
+    primes; ``first``/``last`` are None without primes or in a count-only scan.
+    """
+
+    lo: int
+    hi: int
+    count: int
+    first: int | None
+    last: int | None
+    payload: Any
+
+
 def base_primes(limit: int) -> np.ndarray:
     """All primes below ``limit`` by a dense sieve (uint64 array)."""
     if limit <= 2:
@@ -84,15 +105,20 @@ def _check_range(lo: int, hi: int) -> None:
         raise ValueError(f"empty or inverted range [{lo}, {hi})")
 
 
+def _check_budget(lo: int, hi: int, max_span: int | None, stream: str) -> None:
+    _check_range(lo, hi)
+    if max_span is not None and hi - lo > max_span:
+        raise RangeTooLargeError(
+            f"window of {hi - lo} numbers exceeds the materialization budget "
+            f"({max_span}); use {stream} for streaming access"
+        )
+
+
 def _segment_primes(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
     """Primes in ``[lo, hi)`` given the odd base primes up to sqrt(hi)."""
-    lo_odd = lo | 1
-    if lo_odd >= hi:
-        out = np.empty(0, dtype=np.uint64)
-    else:
-        bits = _odd_bitmap(lo, hi, base_odd)
-        idx = np.flatnonzero(bits).astype(np.uint64)
-        out = (idx << np.uint64(1)) + np.uint64(lo_odd)
+    out = np.flatnonzero(_odd_bitmap(lo, hi, base_odd)).view(np.uint64)
+    out <<= np.uint64(1)  # in place: this runs once per segment
+    out += np.uint64(lo | 1)
     if lo <= 2 < hi:
         out = np.concatenate([np.array([2], dtype=np.uint64), out])
     return out
@@ -103,7 +129,7 @@ def _odd_bitmap(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
     lo_odd = lo | 1
     bits = np.ones((hi - lo_odd + 1) // 2, dtype=bool)
     if lo_odd == 1:
-        bits[0] = False
+        bits[:1] = False
     # Start positions are computed in Python ints: near 2**64 the products
     # p*p and the first-multiple arithmetic must not wrap.
     for p in base_odd:
@@ -127,82 +153,127 @@ def sieve_segment(lo: int, hi: int, *, max_size: int = DEFAULT_SEGMENT_SIZE) -> 
             f"segment [{lo}, {hi}) exceeds max_size={max_size}; "
             "iterate segments instead"
         )
-    base = base_primes(math.isqrt(hi - 1) + 1)
-    primes = _segment_primes(lo, hi, base[base > 2])
+    primes = _segment_primes(lo, hi, _cached_base_odd(math.isqrt(hi - 1) + 1))
     bits = np.zeros(hi - lo, dtype=bool)
     if len(primes):
         bits[(primes - np.uint64(lo)).astype(np.int64)] = True
     return SieveSegment(lo, hi, bits)
 
 
-def segment_ranges(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, int]]:
-    """Split ``[lo, hi)`` into consecutive segments of at most segment_size."""
-    start = lo
-    while start < hi:
-        end = min(start + segment_size, hi)
-        yield start, end
-        start = end
-
-
 # ---------------------------------------------------------------------------
-# Worker-pool plumbing. Task functions live at module level so they pickle;
-# each worker process caches the base primes it has already computed.
+# The engine. Task and extract functions live at module level so they
+# pickle; each worker process caches its base primes.
 
 _BASE_CACHE: dict[int, np.ndarray] = {}
+_STOP = None  # in a pool worker: the pool's stop event, set by _init_worker
 
 
 def _cached_base_odd(sqrt_limit: int) -> np.ndarray:
     base = _BASE_CACHE.get(sqrt_limit)
     if base is None:
-        full = base_primes(sqrt_limit)
-        base = full[full > 2]
-        _BASE_CACHE.clear()  # one scan at a time; keep the cache tiny
-        _BASE_CACHE[sqrt_limit] = base
+        _BASE_CACHE.clear()  # one scan at a time: drop the old primes first
+        # The odd primes below sqrt_limit (<= 2**32) as uint32, sieved in
+        # blocks: in-process scans keep them, so their memory counts.
+        small = base_primes(math.isqrt(sqrt_limit) + 1)[1:]
+        blocks = [_segment_primes(s, min(s + (1 << 20), sqrt_limit), small).astype(np.uint32)
+                  for s in range(3, sqrt_limit, 1 << 20)]
+        base = _BASE_CACHE[sqrt_limit] = np.concatenate([np.empty(0, np.uint32), *blocks])
     return base
 
 
-def _primes_task(args: tuple[int, int, int]) -> np.ndarray:
-    lo, hi, sqrt_limit = args
-    return _segment_primes(lo, hi, _cached_base_odd(sqrt_limit))
+def _init_worker(stop) -> None:
+    # Ctrl-C reaches the whole process group, but only the parent may stop.
+    global _STOP
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _STOP = stop
 
 
-def _count_task(args: tuple[int, int, int]) -> int:
-    lo, hi, sqrt_limit = args
-    n = 0
-    if (lo | 1) < hi:
-        n = int(np.count_nonzero(_odd_bitmap(lo, hi, _cached_base_odd(sqrt_limit))))
-    if lo <= 2 < hi:
-        n += 1
-    return n
+def _sieve_task(args: tuple[int, int, int, Callable | None]) -> Segment | None:
+    lo, hi, sqrt_limit, extract = args
+    if _STOP is not None and _STOP.is_set():
+        return None  # the consumer stopped early; nobody reads this result
+    base_odd = _cached_base_odd(sqrt_limit)
+    if extract is None:  # count only: skip turning the bitmap into primes
+        n = int(np.count_nonzero(_odd_bitmap(lo, hi, base_odd))) + (lo <= 2 < hi)
+        return Segment(lo, hi, n, None, None, None)
+    primes = _segment_primes(lo, hi, base_odd)
+    ends = (int(primes[0]), int(primes[-1])) if len(primes) else (None, None)
+    return Segment(lo, hi, len(primes), *ends, extract(primes))
 
 
-def resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        return os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return threads
+def _keep_primes(primes: np.ndarray) -> np.ndarray:
+    return primes
 
 
-def _ordered_map(fn, tasks: Iterable, threads: int) -> Iterator:
-    """Apply ``fn`` over ``tasks`` and yield results in task order.
+def map_segments(
+    lo: int,
+    hi: int,
+    extract: Callable[[np.ndarray], Any] | None,
+    *,
+    segment_size: int | None = None,
+    threads: int | None = 1,
+) -> Iterator[Segment]:
+    """Sieve ``[lo, hi)`` and yield one :class:`Segment` per segment, in order.
 
-    With ``threads > 1`` the work runs on a process pool with a bounded
-    number of in-flight tasks, so memory stays proportional to the pool
-    size rather than the scan length.
+    ``extract`` maps a segment's ascending uint64 primes to its payload in
+    the worker, so it must pickle (None: count only). Uses at most
+    ``threads`` workers (None: one per core) and no more than there are
+    segments, so a one-segment window runs in-process. When the consumer
+    stops early, queued segments are cancelled or skipped.
     """
-    if threads <= 1:
-        for t in tasks:
-            yield fn(t)
+    _check_range(lo, hi)
+    segment_size = segment_size or DEFAULT_SEGMENT_SIZE
+    if segment_size < 2:
+        raise ValueError("segment_size must be >= 2")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
+    sqrt_limit = math.isqrt(hi - 1) + 1
+    tasks = ((s, min(s + segment_size, hi), sqrt_limit, extract)
+             for s in range(lo, hi, segment_size))
+    nthreads = min(threads or os.cpu_count() or 1, -(-(hi - lo) // segment_size))
+    if nthreads <= 1:
+        yield from map(_sieve_task, tasks)
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    stop = multiprocessing.Event()
+    pool = ProcessPoolExecutor(nthreads, initializer=_init_worker, initargs=(stop,))
+    try:
         pending: deque = deque()
         for t in tasks:
-            pending.append(pool.submit(fn, t))
-            if len(pending) >= threads * 3:
+            pending.append(pool.submit(_sieve_task, t))
+            if len(pending) >= 3 * nthreads:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
+
+
+def stitch_segments(
+    lo: int,
+    hi: int,
+    extract: Callable[[np.ndarray], Any],
+    *,
+    carry: int | None = None,
+    segment_size: int | None = None,
+    threads: int | None = 1,
+) -> Iterator[tuple[tuple[int, int] | None, Segment | None, int | None]]:
+    """Walk the segments of ``[lo, hi)`` in order, stitching gaps across them.
+
+    Yields ``(gap, segment, carry)`` per segment: ``gap`` runs from the last
+    prime before the segment (``carry`` resumes an earlier run) to its first
+    prime, or is None. A last ``(gap, None, carry)`` closes the window at the
+    first prime >= ``hi`` (None beyond 2**64). Inner gaps are the extract's.
+    """
+    if lo != hi:
+        with closing(map_segments(lo, hi, extract, segment_size=segment_size,
+                                  threads=threads)) as segments:
+            for seg in segments:
+                gap = (carry, seg.first - carry) if seg.count and carry is not None else None
+                carry = seg.last if seg.count else carry
+                yield gap, seg, carry
+    nxt = U64_BOUND if carry is None else next_prime(hi - 1)  # first prime >= hi
+    yield ((carry, nxt - carry) if nxt < U64_BOUND else None), None, carry
 
 
 def iter_prime_arrays(
@@ -217,19 +288,8 @@ def iter_prime_arrays(
     Concatenating the yielded arrays gives exactly the primes of the window,
     for any segment size and worker count.
     """
-    _check_range(lo, hi)
-    segment_size = segment_size or DEFAULT_SEGMENT_SIZE
-    if segment_size < 2:
-        raise ValueError("segment_size must be >= 2")
-    sqrt_limit = math.isqrt(hi - 1) + 1
-    nthreads = resolve_threads(threads)
-    tasks = ((s, e, sqrt_limit) for s, e in segment_ranges(lo, hi, segment_size))
-    if nthreads <= 1:
-        base_odd = _cached_base_odd(sqrt_limit)
-        for s, e, _ in tasks:
-            yield _segment_primes(s, e, base_odd)
-    else:
-        yield from _ordered_map(_primes_task, tasks, nthreads)
+    for seg in map_segments(lo, hi, _keep_primes, segment_size=segment_size, threads=threads):
+        yield seg.payload
 
 
 def primes_in(
@@ -246,16 +306,10 @@ def primes_in(
     (pass ``max_span=None`` to lift the budget, or stream with
     :func:`iter_prime_arrays`).
     """
-    _check_range(lo, hi)
-    if max_span is not None and hi - lo > max_span:
-        raise RangeTooLargeError(
-            f"window of {hi - lo} numbers exceeds the materialization budget "
-            f"({max_span}); use iter_prime_arrays for streaming access"
-        )
-    chunks = list(iter_prime_arrays(lo, hi, segment_size=segment_size, threads=threads))
-    if not chunks:
-        return np.empty(0, dtype=np.uint64)
-    return np.concatenate(chunks)
+    _check_budget(lo, hi, max_span, "iter_prime_arrays")
+    return np.concatenate(
+        list(iter_prime_arrays(lo, hi, segment_size=segment_size, threads=threads))
+    )
 
 
 def count_primes_in(
@@ -266,16 +320,18 @@ def count_primes_in(
     threads: int | None = 1,
 ) -> int:
     """Number of primes in ``[lo, hi)``; streaming, O(1) extra memory."""
-    _check_range(lo, hi)
-    segment_size = segment_size or DEFAULT_SEGMENT_SIZE
-    sqrt_limit = math.isqrt(hi - 1) + 1
-    nthreads = resolve_threads(threads)
-    tasks = ((s, e, sqrt_limit) for s, e in segment_ranges(lo, hi, segment_size))
-    return sum(_ordered_map(_count_task, tasks, nthreads))
+    return int(count_primes_in_bins((lo, hi), segment_size=segment_size, threads=threads)[0])
+
+
+def _bin_counts(inner_edges: np.ndarray, primes: np.ndarray) -> tuple[int, np.ndarray]:
+    """(first bin hit, counts from that bin on) for one segment's primes."""
+    idx = np.searchsorted(inner_edges, primes, side="right")
+    first = int(idx[0]) if len(idx) else 0
+    return first, np.bincount(idx - first)
 
 
 def count_primes_in_bins(
-    edges: Sequence[int],
+    edges: Iterable[int],
     *,
     segment_size: int | None = None,
     threads: int | None = 1,
@@ -286,16 +342,17 @@ def count_primes_in_bins(
     sweeps, where thousands of adjacent windows would otherwise each pay
     their own sieve setup.
     """
-    edges_arr = np.asarray(list(edges), dtype=np.uint64)
-    if len(edges_arr) < 2 or np.any(edges_arr[1:] <= edges_arr[:-1]):
+    edges = [int(e) for e in edges]
+    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
-    counts = np.zeros(len(edges_arr) - 1, dtype=np.int64)
-    lo, hi = int(edges_arr[0]), int(edges_arr[-1])
-    for primes in iter_prime_arrays(lo, hi, segment_size=segment_size, threads=threads):
-        if not len(primes):
-            continue
-        idx = np.searchsorted(edges_arr, primes, side="right") - 1
-        counts += np.bincount(idx, minlength=len(counts))
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    extract = None  # one bin needs only the workers' prime counts
+    if len(edges) > 2:
+        extract = partial(_bin_counts, np.array(edges[1:-1], dtype=np.uint64))
+    for seg in map_segments(edges[0], edges[-1], extract,
+                            segment_size=segment_size, threads=threads):
+        first, seg_counts = seg.payload or (0, [seg.count])
+        counts[first : first + len(seg_counts)] += seg_counts
     return counts
 
 
@@ -308,30 +365,22 @@ def iter_gap_arrays(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(p, g)`` uint64 array pairs for every gap with ``lo <= p < hi``.
 
-    Gaps are stitched across segment boundaries by carrying the last prime
-    of each segment forward, so concatenating the per-segment output equals
-    a single-pass scan. The final gap is closed by probing for the first
-    prime at or beyond ``hi`` (it is dropped in the pathological case where
-    that prime would exceed the 64-bit domain).
+    Concatenating the per-segment output equals a single-pass scan. The
+    final gap is closed by probing for the first prime at or beyond ``hi``
+    (it is dropped in the pathological case where that prime would exceed
+    the 64-bit domain).
     """
-    carry: int | None = None
-    for primes in iter_prime_arrays(lo, hi, segment_size=segment_size, threads=threads):
-        if not len(primes):
-            continue
-        if carry is not None:
-            primes = np.concatenate([np.array([carry], dtype=np.uint64), primes])
+    _check_range(lo, hi)
+    for gap, seg, _ in stitch_segments(lo, hi, _keep_primes,
+                                       segment_size=segment_size, threads=threads):
+        if seg is not None:
+            primes = seg.payload
+        else:  # the closing step: only the first prime >= hi, if any
+            primes = np.array([sum(gap)] if gap else [], dtype=np.uint64)
+        if gap is not None:
+            primes = np.concatenate([np.array([gap[0]], dtype=np.uint64), primes])
         if len(primes) >= 2:
             yield primes[:-1], np.diff(primes)
-        carry = int(primes[-1])
-    if carry is None:
-        return
-    nxt = next_prime(hi - 1)  # first prime >= hi; closes the final gap
-    if nxt >= U64_BOUND:
-        return
-    yield (
-        np.array([carry], dtype=np.uint64),
-        np.array([nxt - carry], dtype=np.uint64),
-    )
 
 
 def gaps_in(
@@ -348,12 +397,7 @@ def gaps_in(
     the primes (``lo <= 2``); for a mid-range window the global prime index
     is unknown and left as None.
     """
-    _check_range(lo, hi)
-    if max_span is not None and hi - lo > max_span:
-        raise RangeTooLargeError(
-            f"window of {hi - lo} numbers exceeds the materialization budget "
-            f"({max_span}); use iter_gap_arrays for streaming access"
-        )
+    _check_budget(lo, hi, max_span, "iter_gap_arrays")
     anchored = lo <= 2
     out: list[PrimeGap] = []
     n = 0

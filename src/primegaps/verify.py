@@ -361,7 +361,6 @@ def _oppermann_violations(
         edges.append(m * m)
     edges.append(max_m * (max_m + 1))
     counts = count_primes_in_bins(edges, threads=threads, segment_size=segment_size)
-    counts = counts.copy()
     counts[0] -= 1  # the left edge 2 = 2*1 is prime but not interior
     bad: list[int] = []
     for k, m in enumerate(range(2, max_m + 1)):

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +312,45 @@ class TestDeterminismAndCheckpointing:
         assert [p.name for p in tmp_path.iterdir()] == ["s.ckpt"]
         again = load_checkpoint(ck, limit=1000, segment_size=state.segment_size)
         assert again == state
+
+    def test_checkpoint_from_the_parent_side_stitching_scan_resumes(self, capsys, tmp_path):
+        # Written by the earlier scan, which shipped every prime to the parent
+        # and stitched there (same arguments plus --stop-after-segments 1).
+        old = {
+            "payload": {
+                "scan_kind": "records", "format_version": 1, "limit": 3000000,
+                "segment_size": 1048576, "next_lo": 1048578, "carry_prime": 1048573,
+                "best_gap": 114, "done": False,
+                "records": [
+                    [1, 1, 2], [2, 2, 3], [3, 4, 7], [4, 6, 23], [5, 8, 89], [6, 14, 113],
+                    [7, 18, 523], [8, 20, 887], [9, 22, 1129], [10, 34, 1327],
+                    [11, 36, 9551], [12, 44, 15683], [13, 52, 19609], [14, 72, 31397],
+                    [15, 86, 155921], [16, 96, 360653], [17, 112, 370261],
+                    [18, 114, 492113],
+                ],
+            },
+            "sha256": "b72a97a2d336a00ee9fcf849a7e7f04df69dbc0ad83e8e397fd710ccfbfcd0e5",
+        }
+        ck = tmp_path / "old.ckpt"
+        ck.write_text(json.dumps(old))
+        args = ["records", "--limit", "3000000", "--segment-size", "1048576", "--format", "csv"]
+        _, uninterrupted, _ = run_cli(capsys, *args)
+        code, resumed, _ = run_cli(capsys, *args, "--checkpoint", str(ck), "--threads", "2")
+        assert code == 0 and resumed == uninterrupted
+
+    def test_ctrl_c_without_checkpoint_stops_cleanly(self, capsys, monkeypatch):
+        real_advance = cli.advance_scan
+
+        def ctrl_c_then_advance(state, **kwargs):
+            os.kill(os.getpid(), signal.SIGINT)  # the CLI's handler raises its flag
+            return real_advance(state, **kwargs)
+
+        monkeypatch.setattr(cli, "advance_scan", ctrl_c_then_advance)
+        code, out, err = run_cli(
+            capsys, "records", "--limit", "3000000", "--segment-size", "1048576"
+        )
+        assert code == 130 and out == ""
+        assert "scan stopped at 1048578 of 3000000" in err
 
 
 class TestEntryPoint:
