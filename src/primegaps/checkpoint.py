@@ -13,7 +13,6 @@ into place, so an interrupt can never leave a half-written checkpoint.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -56,6 +55,8 @@ def _payload(state: RecordScanState) -> dict:
 
 
 def _digest(payload: dict) -> str:
+    import hashlib  # here, so that commands without checkpoints do not load OpenSSL (~3.5 MiB)
+
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

@@ -24,7 +24,6 @@ import multiprocessing
 import os
 import signal
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -34,8 +33,14 @@ import numpy as np
 from .numerics import U64_BOUND, next_prime
 
 #: Numbers per segment. 2**22 keeps the odd-only bitmap (2 MiB of bools)
-#: cache resident while amortizing the per-segment base-prime walk.
+#: cache resident. Base primes below its 2**21 odd slots are marked with one
+#: strided slice each, so a full segment amortizes that per-prime Python
+#: step; larger base primes hit a segment at most once and are marked by one
+#: vector pass (see _odd_bitmap).
 DEFAULT_SEGMENT_SIZE = 1 << 22
+
+#: Base primes per step of _odd_bitmap's vector pass.
+_VECTOR_CHUNK = 1 << 15
 
 #: primes_in / gaps_in refuse to materialize windows wider than this;
 #: use the streaming iterators for larger scans.
@@ -125,15 +130,23 @@ def _segment_primes(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
 
 
 def _odd_bitmap(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
-    """Bitmap over the odd numbers of ``[lo, hi)``; entry k is lo|1 + 2k."""
+    """Bitmap over the odd numbers of ``[lo, hi)``; entry k is lo|1 + 2k.
+
+    ``base_odd`` holds the ascending odd primes up to sqrt(hi) (uint32 or
+    uint64, each below 2**32).
+    """
     lo_odd = lo | 1
-    bits = np.ones((hi - lo_odd + 1) // 2, dtype=bool)
+    n = (hi - lo_odd + 1) // 2
+    bits = np.ones(n, dtype=bool)
     if lo_odd == 1:
         bits[:1] = False
-    # Start positions are computed in Python ints: near 2**64 the products
-    # p*p and the first-multiple arithmetic must not wrap.
-    for p in base_odd:
-        p = int(p)
+    # A prime p < n strikes the window several times: one strided slice each,
+    # with start positions in Python ints (near 2**64, p*p and the first
+    # multiple would wrap in uint64). The search key keeps base_odd's dtype,
+    # since a Python int key makes searchsorted copy the array as int64; n is
+    # capped for that, and 2**32 - 1 is not prime.
+    split = int(np.searchsorted(base_odd, base_odd.dtype.type(min(n, (1 << 32) - 1))))
+    for p in base_odd[:split].tolist():
         m = ((lo + p - 1) // p) * p
         if m < p * p:
             m = p * p
@@ -142,6 +155,31 @@ def _odd_bitmap(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
         if m >= hi:
             continue
         bits[(m - lo_odd) >> 1 :: p] = False
+    # A prime p >= n strikes it at most once, so one vector pass marks them
+    # all. It works on uint64 offsets from lo|1, never on absolute values, so
+    # nothing wraps: the first odd multiple at or past lo|1 lies less than
+    # 2p <= 2**33 beyond it, and max(p*p, lo|1) - (lo|1) <= p*p < 2**64
+    # because p < 2**32. Every operand is a uint64 (numpy 1.x turns uint64
+    # with a Python int into float64). Chunks keep the three buffers at
+    # 256 KiB each.
+    lo_u, x, one = np.uint64(lo_odd), np.uint64(lo_odd - 1), np.uint64(1)
+    buf = np.empty((3, min(len(base_odd) - split, _VECTOR_CHUNK)), np.uint64)
+    for c in range(split, len(base_odd), _VECTOR_CHUNK):
+        chunk = base_odd[c : c + _VECTOR_CHUNK]
+        p, off, r = buf[:, : len(chunk)]
+        p[...] = chunk
+        np.remainder(x, p, out=r)
+        np.subtract(p, one, out=off)
+        off -= r  # p - 1 - ((lo|1) - 1) % p: to the first multiple of p
+        np.bitwise_and(off, one, out=r)
+        r *= p
+        off += r  # lo|1 is odd, so an odd offset lands on an even multiple
+        np.multiply(p, p, out=r)
+        np.maximum(r, lo_u, out=r)
+        r -= lo_u
+        np.maximum(off, r, out=off)  # and no lower than p*p
+        off >>= one
+        bits[off[off < np.uint64(n)]] = False
     return bits
 
 
@@ -164,21 +202,30 @@ def sieve_segment(lo: int, hi: int, *, max_size: int = DEFAULT_SEGMENT_SIZE) -> 
 # The engine. Task and extract functions live at module level so they
 # pickle; each worker process caches its base primes.
 
-_BASE_CACHE: dict[int, np.ndarray] = {}
+_BASE_CACHE = (3, np.empty(0, np.uint32))  # (top, the odd primes below top)
 _STOP = None  # in a pool worker: the pool's stop event, set by _init_worker
 
 
 def _cached_base_odd(sqrt_limit: int) -> np.ndarray:
-    base = _BASE_CACHE.get(sqrt_limit)
-    if base is None:
-        _BASE_CACHE.clear()  # one scan at a time: drop the old primes first
-        # The odd primes below sqrt_limit (<= 2**32) as uint32, sieved in
-        # blocks: in-process scans keep them, so their memory counts.
+    """The odd primes below ``sqrt_limit`` (<= 2**32), as uint32.
+
+    The cache only grows: a larger limit sieves the missing block of primes
+    onto it, a smaller one is answered by a prefix slice.
+    """
+    global _BASE_CACHE
+    top, base = _BASE_CACHE
+    if sqrt_limit > top:
+        # Sieved in blocks: in-process scans keep these primes, so their
+        # memory counts.
         small = base_primes(math.isqrt(sqrt_limit) + 1)[1:]
         blocks = [_segment_primes(s, min(s + (1 << 20), sqrt_limit), small).astype(np.uint32)
-                  for s in range(3, sqrt_limit, 1 << 20)]
-        base = _BASE_CACHE[sqrt_limit] = np.concatenate([np.empty(0, np.uint32), *blocks])
-    return base
+                  for s in range(top, sqrt_limit, 1 << 20)]
+        top, base = _BASE_CACHE = (sqrt_limit, np.concatenate([base, *blocks]))
+    if sqrt_limit >= top:
+        return base
+    # top <= 2**32, so the smaller limit fits the uint32 key (a Python int
+    # key would make searchsorted copy the cache as int64).
+    return base[: int(np.searchsorted(base, np.uint32(sqrt_limit)))]
 
 
 def _init_worker(stop) -> None:
@@ -234,6 +281,10 @@ def map_segments(
     if nthreads <= 1:
         yield from map(_sieve_task, tasks)
         return
+    # Imported here, so that in-process scans and queries do not keep the
+    # pool machinery (about 0.7 MiB) resident.
+    from concurrent.futures import ProcessPoolExecutor
+
     stop = multiprocessing.Event()
     pool = ProcessPoolExecutor(nthreads, initializer=_init_worker, initargs=(stop,))
     try:

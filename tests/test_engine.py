@@ -7,6 +7,7 @@ boundary, so these tests exercise the stitching far harder than the default
 segment size ever does.
 """
 
+import time
 from functools import partial
 from pathlib import Path
 
@@ -105,7 +106,7 @@ class TestPoolUse:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-segment window must run in-process")
 
-        monkeypatch.setattr(sieve, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         lo = 10**12
         gaps = sieve.gaps_in(lo, lo + 4096, threads=2)
         assert gaps and all(lo <= g.p < lo + 4096 for g in gaps)
@@ -117,14 +118,15 @@ class TestPoolUse:
 
 
 def _mark_sieved(directory, primes):
-    """Extract function that leaves one file per sieved segment."""
+    """Slow extract function that leaves one file per sieved segment."""
     Path(directory, str(int(primes[0]))).touch()
+    time.sleep(0.2)
 
 
 class TestEarlyStop:
     def test_closing_after_one_segment_skips_the_queued_ones(self, tmp_path):
-        # Near 10^12 every segment walks 78k base primes, whatever its width,
-        # so each takes long enough for the queue to fill behind it.
+        # _mark_sieved sleeps, so each segment takes long enough for the
+        # queue to fill behind it, however fast the sieve is.
         threads, size, lo = 2, 1 << 16, 10**12
         segments = sieve.map_segments(lo, lo + 40 * size, partial(_mark_sieved, str(tmp_path)),
                                       segment_size=size, threads=threads)

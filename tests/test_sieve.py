@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +63,95 @@ class TestPrimesIn:
             sieve.primes_in(0, 2**64 + 1)
         # lifting the budget works
         assert len(sieve.primes_in(0, 2**28 + 2, max_span=None)) > 0
+
+
+# The odd primes below 2**16: a truncated base, so that windows anywhere
+# below 2**64 run both marking regimes without building their full base.
+SMALL_ODD_BASE = oracles.primes_upto(1 << 16)[1:]
+
+
+def reference_odd_bitmap(lo, hi, base):
+    """Entry k is False iff lo|1 + 2k is 1 or an odd multiple m >= p*p of a
+    base prime p; every multiple is walked in Python ints."""
+    lo_odd = lo | 1
+    bits = [True] * ((hi - lo_odd + 1) // 2)
+    if lo_odd == 1 and bits:
+        bits[0] = False
+    for p in base:
+        for m in range(max(p * p, -(-lo // p) * p), hi, p):
+            if m % 2:
+                bits[(m - lo_odd) // 2] = False
+    return bits
+
+
+def odd_bitmap(lo, hi, base):
+    return sieve._odd_bitmap(lo, hi, np.array(base, dtype=np.uint32)).tolist()
+
+
+class TestOddBitmap:
+    @given(
+        lo=st.one_of(
+            st.integers(min_value=0, max_value=10**6 - 1),
+            st.integers(min_value=10**12 - 2**20, max_value=10**12 + 2**20),
+            st.integers(min_value=2**64 - 2**20, max_value=2**64 - 1),
+        ),
+        width=st.integers(min_value=1, max_value=256),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_prime_reference(self, lo, width):
+        hi = min(lo + width, 2**64)
+        assert odd_bitmap(lo, hi, SMALL_ODD_BASE) == reference_odd_bitmap(lo, hi, SMALL_ODD_BASE)
+
+    @given(
+        index=st.integers(min_value=0, max_value=len(SMALL_ODD_BASE) - 1),
+        square=st.booleans(),
+        width=st.integers(min_value=1, max_value=256),
+        shift=st.integers(min_value=0, max_value=255),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_windows_holding_a_large_prime_or_its_square(self, index, square, width, shift):
+        p = SMALL_ODD_BASE[index]
+        width = min(width, 2 * p - 1)  # so p is at least the odd-slot count
+        target = p * p if square else p
+        lo = max(0, target - shift % width)
+        hi = lo + width
+        assert lo <= target < hi and p >= (hi - (lo | 1) + 1) // 2
+        assert odd_bitmap(lo, hi, SMALL_ODD_BASE) == reference_odd_bitmap(lo, hi, SMALL_ODD_BASE)
+
+    def test_narrow_window_near_1e14_stays_under_one_mib(self):
+        lo = 10**14
+        base = sieve._cached_base_odd(math.isqrt(lo + 4095) + 1)
+        assert len(base) == 664_578  # the odd primes below 10^7
+        tracemalloc.start()
+        try:
+            sieve._odd_bitmap(lo, lo + 4096, base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestBaseCache:
+    def test_smaller_limit_is_a_prefix_of_the_grown_cache(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_BASE_CACHE", (3, np.empty(0, dtype=np.uint32)))
+        grown = sieve._cached_base_odd(10**7)
+
+        def no_rebuild(*args):
+            raise AssertionError("the cache already holds these primes")
+
+        monkeypatch.setattr(sieve, "_segment_primes", no_rebuild)
+        monkeypatch.setattr(sieve, "base_primes", no_rebuild)
+        prefix = sieve._cached_base_odd(10**5)
+        assert prefix.tolist() == oracles.primes_upto(10**5)[1:]
+        assert np.shares_memory(prefix, grown)
+        assert len(sieve._cached_base_odd(10**7)) == len(grown)
+
+    def test_limit_two_to_the_32(self, monkeypatch):
+        primes = oracles.primes_upto(1000)[1:]
+        monkeypatch.setattr(sieve, "_BASE_CACHE", (2**32, np.array(primes, dtype=np.uint32)))
+        assert sieve._cached_base_odd(2**32).tolist() == primes
+        assert sieve._cached_base_odd(2**32 - 1).tolist() == primes
+        assert sieve._cached_base_odd(100).tolist() == oracles.primes_upto(100)[1:]
 
 
 class TestSieveSegment:
